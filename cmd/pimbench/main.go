@@ -121,7 +121,7 @@ func main() {
 		walS  = flag.String("wal-sync", "interval", "durability: WAL fsync policy — epoch, interval or off")
 		chaoN = flag.Int("restart-chaos", 0, "run this many crash-restart chaos rounds (SIGKILL a serving child, verify bit-exact recovery) and exit")
 		chaoC = flag.Bool("restart-chaos-child", false, "internal: run as the -restart-chaos serving child")
-		swpP  = flag.String("serve-sweep", "", "sweep the linger/epoch policy space (static grid + adaptive controller) plus the host-probe scenario; write a JSON report to this path (\"-\" for stdout only)")
+		swpP  = flag.String("serve-sweep", "", "sweep a static MaxLinger grid plus the host-probe scenario; write a JSON report to this path (\"-\" for stdout only)")
 		shdP  = flag.String("shards", "", "run the sharded scale-out benchmark (scaling curve + hot-range migration) and write a JSON report to this path (\"-\" for stdout only)")
 		shdC  = flag.String("shard-counts", "1,2,4,8", "-shards: comma-separated shard counts of the scaling curve")
 		swpB  = flag.String("sweep-baseline", "BENCH_PR6.json", "-serve-sweep: prior -serve report to quote as the delta baseline")

@@ -35,15 +35,12 @@ type ServeScenario struct {
 	OpsPerSec float64        `json:"ops_per_sec"`
 	Latency   LatencySummary `json:"latency"`
 	// Serving-layer counters (zero for the naive baseline).
-	ReadEpochs      uint64  `json:"read_epochs,omitempty"`
-	WriteEpochs     uint64  `json:"write_epochs,omitempty"`
-	AvgEpochKeys    float64 `json:"avg_epoch_keys,omitempty"`
-	MaxEpochKeys    int     `json:"max_epoch_keys,omitempty"`
-	CacheHits       uint64  `json:"cache_hits,omitempty"`
-	CacheMisses     uint64  `json:"cache_misses,omitempty"`
-	CacheAdmissions uint64  `json:"cache_admissions,omitempty"`
-	DedupedKeys     uint64  `json:"deduped_keys,omitempty"`
-	DedupeRatio     float64 `json:"dedupe_ratio,omitempty"`
+	ReadEpochs   uint64  `json:"read_epochs,omitempty"`
+	WriteEpochs  uint64  `json:"write_epochs,omitempty"`
+	AvgEpochKeys float64 `json:"avg_epoch_keys,omitempty"`
+	MaxEpochKeys int     `json:"max_epoch_keys,omitempty"`
+	DedupedKeys  uint64  `json:"deduped_keys,omitempty"`
+	DedupeRatio  float64 `json:"dedupe_ratio,omitempty"`
 }
 
 // ServeReport is the file format of -serve output (BENCH_PR5.json).
@@ -57,8 +54,7 @@ type ServeReport struct {
 	DurationSec float64           `json:"duration_sec"`
 	Results     []ServeScenario   `json:"results"`
 	LingerSec   float64           `json:"linger_sec"`
-	// SpeedupVsNaive is the best serving configuration's ops/sec
-	// (coalescing, with or without the hot-key cache) over the naive
+	// SpeedupVsNaive is the coalescing Server's ops/sec over the naive
 	// one-request-per-batch loop at identical concurrency and skew.
 	SpeedupVsNaive float64 `json:"speedup_vs_naive"`
 	// MetricsOverheadPct is the throughput cost of the full telemetry
@@ -77,12 +73,10 @@ type ServeReport struct {
 type serveMode int
 
 const (
-	modeNaive    serveMode = iota // mutex + one-key batches, no Server
-	modeServe                     // coalescing Server, cache off
-	modeMetrics                   // modeServe plus the full telemetry plane
-	modeCache                     // coalescing Server, hot-key cache on
-	modeMixed                     // Server, 90% get / 5% insert / 5% delete
-	modeAdaptive                  // coalescing Server, adaptive epoch controller
+	modeNaive   serveMode = iota // mutex + one-key batches, no Server
+	modeServe                    // coalescing Server
+	modeMetrics                  // modeServe plus the full telemetry plane
+	modeMixed                    // Server, 90% get / 5% insert / 5% delete
 )
 
 // inflight is one pipelined request a client has submitted but not yet
@@ -121,11 +115,6 @@ func runServeScenario(name string, mode serveMode, sc experiments.Scale, conc, d
 	switch mode {
 	case modeServe, modeMixed:
 		srv = serve.NewServer(idx, serve.Options{MaxBatch: maxBatch, MaxLinger: linger})
-	case modeAdaptive:
-		// The controller picks linger and epoch size itself; the -linger
-		// flag is irrelevant here (MaxLinger left 0 selects the adaptive
-		// default cap).
-		srv = serve.NewServer(idx, serve.Options{MaxBatch: maxBatch, AdaptiveLinger: true})
 	case modeMetrics:
 		// Same configuration as modeServe with the whole telemetry plane
 		// attached — serving instruments plus the PIM monitor — so the
@@ -141,8 +130,6 @@ func runServeScenario(name string, mode serveMode, sc experiments.Scale, conc, d
 		if pl != nil {
 			pl.srv.Store(srv)
 		}
-	case modeCache:
-		srv = serve.NewServer(idx, serve.Options{MaxBatch: maxBatch, MaxLinger: linger, CacheSize: 16 * conc})
 	}
 	var mu sync.Mutex // modeNaive: the serialization a Server-less caller needs
 	var stop atomic.Bool
@@ -226,8 +213,7 @@ func runServeScenario(name string, mode serveMode, sc experiments.Scale, conc, d
 	if srv != nil {
 		st := srv.Stats()
 		out.ReadEpochs, out.WriteEpochs = st.ReadEpochs, st.WriteEpochs
-		out.CacheHits, out.CacheMisses = st.CacheHits, st.CacheMisses
-		out.CacheAdmissions, out.DedupedKeys = st.CacheAdmissions, st.DedupedKeys
+		out.DedupedKeys = st.DedupedKeys
 		out.MaxEpochKeys = st.MaxEpochKeys
 		for op := range st.KeysExecuted {
 			raw.execKeys += st.KeysExecuted[op]
@@ -259,9 +245,6 @@ func mergePasses(name string, passes []ServeScenario, raws []scenarioRaw, totalS
 		out.Requests += p.Requests
 		out.ReadEpochs += p.ReadEpochs
 		out.WriteEpochs += p.WriteEpochs
-		out.CacheHits += p.CacheHits
-		out.CacheMisses += p.CacheMisses
-		out.CacheAdmissions += p.CacheAdmissions
 		out.DedupedKeys += p.DedupedKeys
 		if p.MaxEpochKeys > out.MaxEpochKeys {
 			out.MaxEpochKeys = p.MaxEpochKeys
@@ -297,12 +280,11 @@ func runServeSuite(sc experiments.Scale, conc, depth int, zipfS float64, dur, li
 	fmt.Printf("serve: %d clients x depth %d, Zipf(%.2f), %v per scenario, linger %v, P=%d n=%d (GOMAXPROCS=%d)\n\n",
 		conc, depth, zipfS, dur, linger, sc.P, sc.N, rep.GoMaxProcs)
 	show := func(res ServeScenario) {
-		fmt.Printf("%-20s %9.0f ops/s  p50 %8s  p99 %8s  epochs %d/%d  avg %5.1f keys/epoch  dedup %4.1f%%  cache %d/%d\n",
+		fmt.Printf("%-20s %9.0f ops/s  p50 %8s  p99 %8s  epochs %d/%d  avg %5.1f keys/epoch  dedup %4.1f%%\n",
 			res.Name, res.OpsPerSec,
 			time.Duration(int64(res.Latency.P50Ns)).Round(time.Microsecond),
 			time.Duration(int64(res.Latency.P99Ns)).Round(time.Microsecond),
-			res.ReadEpochs, res.WriteEpochs, res.AvgEpochKeys, 100*res.DedupeRatio,
-			res.CacheHits, res.CacheMisses)
+			res.ReadEpochs, res.WriteEpochs, res.AvgEpochKeys, 100*res.DedupeRatio)
 	}
 	run := func(name string, mode serveMode, d time.Duration) (ServeScenario, scenarioRaw) {
 		return runServeScenario(name, mode, sc, conc, depth, zipfS, d, linger, pl)
@@ -354,18 +336,12 @@ func runServeSuite(sc experiments.Scale, conc, depth int, zipfS float64, dur, li
 		rep.MetricsOverheadPct = 100 * (1 - ratios[len(ratios)/2])
 	}
 
-	cache, _ := run("coalesced+cache", modeCache, dur)
-	show(cache)
 	mixed, _ := run("mixed-writes", modeMixed, dur)
 	show(mixed)
-	rep.Results = []ServeScenario{naive, coalesced, withMetrics, cache, mixed}
+	rep.Results = []ServeScenario{naive, coalesced, withMetrics, mixed}
 
 	if naive.OpsPerSec > 0 {
-		best := coalesced.OpsPerSec
-		if cache.OpsPerSec > best {
-			best = cache.OpsPerSec
-		}
-		rep.SpeedupVsNaive = best / naive.OpsPerSec
+		rep.SpeedupVsNaive = coalesced.OpsPerSec / naive.OpsPerSec
 	}
 	fmt.Printf("\nserving-layer speedup vs naive loop: %.2fx\n", rep.SpeedupVsNaive)
 	fmt.Printf("telemetry-plane overhead: %.2f%% (median of %d interleaved pairs)\n\n",

@@ -1,15 +1,11 @@
 package main
 
 // The -serve-sweep suite (BENCH_PR7.json): one serving workload driven
-// across the linger/epoch policy space — a static MaxLinger grid plus
-// the adaptive epoch controller — so the report shows what each policy
+// across a static MaxLinger grid, so the report shows what each linger
 // trades between throughput and tail latency at identical concurrency
-// and skew, and where the controller lands against the best static
-// point. The same file carries the host-probe microbenchmark: the
+// and skew. The same file carries the host-probe microbenchmark: the
 // flattened-trie batch probe against the pointer-chasing walk it
 // replaces, at several batch sizes, measured on an index-scale trie.
-// Together they are the PR's two claims in one artifact: host probes
-// got faster, and the serve layer spends that speed where the load is.
 
 import (
 	"encoding/json"
@@ -24,13 +20,11 @@ import (
 	"github.com/pimlab/pimtrie/internal/workload"
 )
 
-// SweepPoint is one policy's measured serving record.
+// SweepPoint is one linger setting's measured serving record.
 type SweepPoint struct {
 	ServeScenario
-	// LingerSec is the static max-linger of this point; meaningless when
-	// Adaptive is set.
+	// LingerSec is the static max-linger of this point.
 	LingerSec float64 `json:"linger_sec"`
-	Adaptive  bool    `json:"adaptive,omitempty"`
 }
 
 // HostProbePoint compares the flattened-array batch probe against the
@@ -75,9 +69,6 @@ type SweepReport struct {
 	Points      []SweepPoint      `json:"points"`
 	HostProbe   HostProbeReport   `json:"host_probe"`
 	Baseline    *PR6Baseline      `json:"baseline_pr6,omitempty"`
-	// AdaptiveVsBestStatic compares the controller's ops/sec with the
-	// best static linger point (1.0 = parity).
-	AdaptiveVsBestStatic float64 `json:"adaptive_vs_best_static,omitempty"`
 	// P50ReductionVsPR6Pct is 100·(1 − p50(best point)/p50(PR6
 	// coalesced)) — the serve tail-latency claim against the prior PR's
 	// report at the same concurrency, depth and skew.
@@ -181,7 +172,7 @@ func runHostProbe(nkeys int, batchSizes []int) HostProbeReport {
 	return rep
 }
 
-// runServeSweep executes the policy sweep plus the host-probe scenario
+// runServeSweep executes the linger sweep plus the host-probe scenario
 // and writes the JSON report to path ("-" for stdout-only).
 func runServeSweep(sc experiments.Scale, conc, depth int, zipfS float64, dur time.Duration, path, baselinePath string, pl *obsPlane) error {
 	rep := SweepReport{
@@ -203,9 +194,6 @@ func runServeSweep(sc experiments.Scale, conc, depth int, zipfS float64, dur tim
 	grid := []time.Duration{0, 100 * time.Microsecond, 250 * time.Microsecond, 500 * time.Microsecond, time.Millisecond}
 	show := func(p SweepPoint) {
 		policy := fmt.Sprintf("linger=%v", time.Duration(p.LingerSec*float64(time.Second)))
-		if p.Adaptive {
-			policy = "adaptive"
-		}
 		fmt.Printf("%-16s %9.0f ops/s  p50 %9s  p95 %9s  p99 %9s  avg %6.1f keys/epoch\n",
 			policy, p.OpsPerSec,
 			time.Duration(int64(p.Latency.P50Ns)).Round(time.Microsecond),
@@ -213,39 +201,23 @@ func runServeSweep(sc experiments.Scale, conc, depth int, zipfS float64, dur tim
 			time.Duration(int64(p.Latency.P99Ns)).Round(time.Microsecond),
 			p.AvgEpochKeys)
 	}
-	var bestStatic *SweepPoint
 	for _, lg := range grid {
 		runtime.GC()
 		res, _ := runServeScenario(fmt.Sprintf("static-%v", lg), modeServe, sc, conc, depth, zipfS, dur, lg, pl)
 		pt := SweepPoint{ServeScenario: res, LingerSec: lg.Seconds()}
 		show(pt)
 		rep.Points = append(rep.Points, pt)
-		if bestStatic == nil || pt.OpsPerSec > bestStatic.OpsPerSec {
-			last := rep.Points[len(rep.Points)-1]
-			bestStatic = &last
-		}
-	}
-	runtime.GC()
-	ares, _ := runServeScenario("adaptive", modeAdaptive, sc, conc, depth, zipfS, dur, 0, pl)
-	adaptive := SweepPoint{ServeScenario: ares, Adaptive: true}
-	show(adaptive)
-	rep.Points = append(rep.Points, adaptive)
-
-	if bestStatic != nil && bestStatic.OpsPerSec > 0 {
-		rep.AdaptiveVsBestStatic = adaptive.OpsPerSec / bestStatic.OpsPerSec
-		fmt.Printf("\nadaptive vs best static (%v): %.2fx ops/sec\n",
-			time.Duration(bestStatic.LingerSec*float64(time.Second)), rep.AdaptiveVsBestStatic)
 	}
 	if rep.Baseline != nil && rep.Baseline.P50Ns > 0 {
-		best := adaptive
-		for _, p := range rep.Points {
+		best := rep.Points[0]
+		for _, p := range rep.Points[1:] {
 			if p.Latency.P50Ns < best.Latency.P50Ns && p.OpsPerSec >= rep.Baseline.OpsPerSec {
 				best = p
 			}
 		}
 		rep.P50ReductionVsPR6Pct = 100 * (1 - best.Latency.P50Ns/rep.Baseline.P50Ns)
 		rep.OpsGainVsPR6 = best.OpsPerSec / rep.Baseline.OpsPerSec
-		fmt.Printf("vs %s coalesced: p50 %.1f%% lower, ops/sec %.2fx\n",
+		fmt.Printf("\nvs %s coalesced: p50 %.1f%% lower, ops/sec %.2fx\n",
 			rep.Baseline.Source, rep.P50ReductionVsPR6Pct, rep.OpsGainVsPR6)
 	}
 	fmt.Printf("host-probe best speedup (flat vs pointer): %.2fx\n\n", rep.HostProbe.BestSpeedup)

@@ -41,10 +41,6 @@ type serveMetrics struct {
 	deduped     *metrics.Counter
 	dedupRatio  *metrics.Gauge
 
-	cacheHits   *metrics.Counter
-	cacheMisses *metrics.Counter
-	cacheAdmits *metrics.Counter
-
 	snapReads     *metrics.Counter
 	snapFallbacks *metrics.Counter
 	snapAge       *metrics.Gauge
@@ -81,9 +77,6 @@ func newServeMetrics(reg *metrics.Registry, base []metrics.Label) *serveMetrics 
 		writeEpochs:   reg.Counter("pimtrie_serve_write_epochs_total", "committed write epochs", lbl()...),
 		deduped:       reg.Counter("pimtrie_serve_read_keys_deduped_total", "read keys absorbed by singleflight dedupe within an epoch", lbl()...),
 		dedupRatio:    reg.Gauge("pimtrie_serve_read_dedupe_ratio", "cumulative fraction of epoch-admitted read keys absorbed by dedupe", lbl()...),
-		cacheHits:     reg.Counter("pimtrie_serve_cache_hits_total", "read requests served entirely from the hot-key cache", lbl()...),
-		cacheMisses:   reg.Counter("pimtrie_serve_cache_misses_total", "cacheable read requests that reached the queues", lbl()...),
-		cacheAdmits:   reg.Counter("pimtrie_serve_cache_admissions_total", "read results admitted into the hot-key cache", lbl()...),
 		snapReads:     reg.Counter("pimtrie_serve_snapshot_reads_total", "keys served wait-free from the published COW snapshot", lbl()...),
 		snapFallbacks: reg.Counter("pimtrie_serve_snapshot_fallbacks_total", "ReadSnapshot keys sent back to the epoch path by the recent-writes filter", lbl()...),
 		snapAge:       reg.Gauge("pimtrie_serve_snapshot_age_epochs", "committed write epochs the published snapshot trailed by at the last snapshot read", lbl()...),

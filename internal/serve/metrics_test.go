@@ -22,7 +22,6 @@ func TestServeMetricsMatchStats(t *testing.T) {
 	srv, _, pool := newServed(t, 8, 256, serve.Options{
 		MaxBatch:  64,
 		MaxLinger: time.Millisecond,
-		CacheSize: 128,
 		Metrics:   reg,
 	})
 	const workers = 8
@@ -34,7 +33,7 @@ func TestServeMetricsMatchStats(t *testing.T) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(seed))
 			for it := 0; it < iters; it++ {
-				k := pool[r.Intn(32)] // small hot set: dedupe + cache traffic
+				k := pool[r.Intn(32)] // small hot set: dedupe traffic
 				switch r.Intn(8) {
 				case 0:
 					if err := srv.Insert(k, r.Uint64()); err != nil {
@@ -90,9 +89,6 @@ func TestServeMetricsMatchStats(t *testing.T) {
 	}{
 		{"pimtrie_serve_read_epochs_total", st.ReadEpochs},
 		{"pimtrie_serve_write_epochs_total", st.WriteEpochs},
-		{"pimtrie_serve_cache_hits_total", st.CacheHits},
-		{"pimtrie_serve_cache_misses_total", st.CacheMisses},
-		{"pimtrie_serve_cache_admissions_total", st.CacheAdmissions},
 		{"pimtrie_serve_read_keys_deduped_total", st.DedupedKeys},
 	}
 	for _, p := range pairs {
@@ -102,7 +98,7 @@ func TestServeMetricsMatchStats(t *testing.T) {
 	}
 
 	// Every admitted request resolves exactly once, so the latency
-	// histograms must account for every request — including cache hits.
+	// histograms must account for every request.
 	var requests, observed uint64
 	for op := serve.OpGet; op <= serve.OpDelete; op++ {
 		requests += st.Requests[op]

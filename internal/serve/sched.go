@@ -11,12 +11,11 @@ package serve
 // two-stage host/PIM pipeline.
 //
 // Consistency: the index is only touched by the executor, epochs never
-// interleave, reads and writes never share an epoch, and cache-served
-// reads are only admitted when their entry's write-epoch stamp is
-// current — so every response equals a serial replay of the committed
-// epoch order.
+// interleave, and reads and writes never share an epoch — so every
+// response equals a serial replay of the committed epoch order.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -40,7 +39,6 @@ type call struct {
 type readBatch struct {
 	calls []*call
 	uniq  []Key
-	dups  []int // per unique key: how many admitted requests asked for it
 	prep  *pimtrie.PreparedBatch
 }
 
@@ -55,9 +53,8 @@ type epochPlan struct {
 	keys   []Key
 	values []uint64
 	prep   *pimtrie.PreparedBatch
-	// stamp is the write-epoch counter at formation: the number of write
-	// epochs ordered before this one. Read results executed under this
-	// stamp fill the cache with it.
+	// stamp is a write epoch's position in the write order: the number
+	// of write epochs formed up to and including this one.
 	stamp uint64
 }
 
@@ -72,7 +69,6 @@ type Server struct {
 	writeQ       []*call    // mixed insert/delete FIFO, arrival order
 	closed       bool
 	formedWrites uint64 // write epochs formed so far
-	cache        *hotCache
 	hist         []*EpochRecord
 	stats        Stats
 	idBuf        []byte   // scratch for appendKeyID, reused under mu
@@ -93,9 +89,8 @@ type Server struct {
 	snapKeys      atomic.Uint64             // keys served from the snapshot
 	snapFallbacks atomic.Uint64             // ReadSnapshot keys bounced to the epoch path
 
-	met *serveMetrics       // nil unless Options.Metrics is set
-	ctl *adaptiveController // nil unless Options.AdaptiveLinger is set
-	dur *durableState       // nil unless Options.Durable is set
+	met *serveMetrics // nil unless Options.Metrics is set
+	dur *durableState // nil unless Options.Durable is set
 
 	// health is the post-epoch Index.Health sample behind Server.Health;
 	// written only by the goroutine that owns the index. keyCount and
@@ -117,17 +112,11 @@ func NewServer(ix *pimtrie.Index, opts Options) *Server {
 		kick:     make(chan struct{}, 1),
 		closedCh: make(chan struct{}),
 	}
-	if s.opts.CacheSize > 0 {
-		s.cache = newHotCache(s.opts.CacheSize)
-	}
 	if s.opts.PrefixLoadBits > 0 {
 		s.prefixLoad = make([]uint64, 1<<uint(s.opts.PrefixLoadBits))
 	}
 	if s.opts.Metrics != nil {
 		s.met = newServeMetrics(s.opts.Metrics, s.opts.MetricLabels)
-	}
-	if s.opts.AdaptiveLinger {
-		s.ctl = newAdaptiveController(s.opts, s.opts.Metrics, s.opts.MetricLabels)
 	}
 	if s.opts.Durable != nil {
 		s.dur = newDurableState(ix, *s.opts.Durable, s.opts.Metrics, s.opts.MetricLabels)
@@ -143,29 +132,27 @@ func NewServer(ix *pimtrie.Index, opts Options) *Server {
 		go s.publisher()
 	}
 	s.sampleHealth() // baseline before the scheduler goroutines exist
-	if !s.opts.NoPipeline {
-		// Formation is demand-paced: the executor emits one demand token
-		// when it starts an epoch, and the batcher forms exactly one plan
-		// per token. Epoch k+1 is therefore formed (and host-prepared,
-		// overlapping k's PIM rounds) from everything queued at the moment
-		// k starts — one full wave of arrivals. Forming any earlier
-		// fragments waves into small epochs that then persist: each epoch's
-		// completers resubmit together, so epoch sizes are self-reproducing
-		// and the pipeline would inherit its startup fragmentation forever.
-		s.plans = make(chan *epochPlan)
-		s.demand = make(chan struct{}, 1)
-		s.demand <- struct{}{}
+	// Formation is demand-paced: the executor emits one demand token
+	// when it starts an epoch, and the batcher forms exactly one plan
+	// per token. Epoch k+1 is therefore formed (and host-prepared,
+	// overlapping k's PIM rounds) from everything queued at the moment
+	// k starts — one full wave of arrivals. Forming any earlier
+	// fragments waves into small epochs that then persist: each epoch's
+	// completers resubmit together, so epoch sizes are self-reproducing
+	// and the pipeline would inherit its startup fragmentation forever.
+	s.plans = make(chan *epochPlan)
+	s.demand = make(chan struct{}, 1)
+	s.demand <- struct{}{}
+	s.wg.Add(1)
+	go s.executor()
+	// Completion delivery is batched: the executor hands each epoch's
+	// resolved calls to the completers in chunks instead of settling
+	// every future inline, so result distribution stops scaling the
+	// executor's critical path with the client count.
+	s.compCh = make(chan []*call, completionQueue)
+	for i := 0; i < completionWorkers; i++ {
 		s.wg.Add(1)
-		go s.executor()
-		// Completion delivery is batched: the executor hands each epoch's
-		// resolved calls to the completers in chunks instead of settling
-		// every future inline, so result distribution stops scaling the
-		// executor's critical path with the client count.
-		s.compCh = make(chan []*call, completionQueue)
-		for i := 0; i < completionWorkers; i++ {
-			s.wg.Add(1)
-			go s.completer()
-		}
+		go s.completer()
 	}
 	s.wg.Add(1)
 	go s.batcher()
@@ -218,8 +205,8 @@ func (s *Server) kickBatcher() {
 	}
 }
 
-// submit admits one request: resolve trivially, serve from cache, or
-// enqueue for the batcher.
+// submit admits one request: resolve trivially or enqueue for the
+// batcher.
 func (s *Server) submit(op Op, keys []Key, values []uint64) *future {
 	f := newFuture()
 	if len(keys) == 0 {
@@ -239,16 +226,6 @@ func (s *Server) submit(op Op, keys []Key, values []uint64) *future {
 		s.met.requests[op].Inc()
 		s.met.keysReq[op].Add(uint64(len(keys)))
 	}
-	if op.isRead() && s.cache != nil && (op == OpGet || op == OpLCP) {
-		if s.tryCacheLocked(c) {
-			s.mu.Unlock()
-			return f
-		}
-		s.stats.CacheMisses++
-		if s.met != nil {
-			s.met.cacheMisses.Inc()
-		}
-	}
 	if op.isRead() {
 		s.readQ[op] = append(s.readQ[op], c)
 	} else {
@@ -258,11 +235,6 @@ func (s *Server) submit(op Op, keys []Key, values []uint64) *future {
 		s.met.queueDepth.Add(1)
 	}
 	s.mu.Unlock()
-	if s.ctl != nil {
-		// Only enqueued work counts toward the arrival rate; cache hits
-		// and trivial requests never cost the index an epoch slot.
-		s.ctl.noteArrival(len(keys), c.enq)
-	}
 	s.kickBatcher()
 	return f
 }
@@ -281,92 +253,31 @@ func (s *Server) resolveEmpty(op Op, f *future) {
 	f.settle()
 }
 
-// tryCacheLocked serves c entirely from the hot-key cache if every key
-// hits with a current write-epoch stamp. A cache-served read commits
-// logically as its own read epoch at the current point of the serial
-// order (after every formed write epoch, before any later one), which
-// is exactly the state its cached values reflect. Probing is
-// allocation-free until every key has hit.
-func (s *Server) tryCacheLocked(c *call) bool {
-	var stack [4]cacheVal
-	hits := stack[:0]
-	if len(c.keys) > len(stack) {
-		hits = make([]cacheVal, 0, len(c.keys))
-	}
-	for _, k := range c.keys {
-		s.idBuf = appendKeyID(s.idBuf[:0], k)
-		e, ok := s.cache.get(c.op, s.idBuf, s.formedWrites)
-		if !ok {
-			return false
-		}
-		hits = append(hits, e)
-	}
-	s.stats.CacheHits++
-	if s.met != nil {
-		s.met.cacheHits.Inc()
-	}
-	if c.op == OpGet {
-		vals := make([]uint64, len(hits))
-		found := make([]bool, len(hits))
-		for i, e := range hits {
-			vals[i], found[i] = e.value, e.found
-		}
-		c.fut.vals, c.fut.found = vals, found
-	} else {
-		ints := make([]int, len(hits))
-		for i, e := range hits {
-			ints[i] = e.lcp
-		}
-		c.fut.ints = ints
-	}
-	if s.opts.RecordHistory {
-		rec := &OpRecord{Op: c.op, Keys: c.keys, Cached: true}
-		if c.op == OpGet {
-			rec.Vals, rec.Found = c.fut.vals, c.fut.found
-		} else {
-			rec.LCPs = c.fut.ints
-		}
-		s.hist = append(s.hist, &EpochRecord{Ops: []*OpRecord{rec}})
-	}
-	s.finish(c)
-	return true
-}
-
 // batcher is pipeline stage A: await executor demand, form the next
 // epoch, run its host-side preparation, hand it to the executor.
 func (s *Server) batcher() {
 	defer s.wg.Done()
 	for {
-		if s.plans != nil && !s.awaitDemand() {
-			// Closed: stop pacing on demand and just drain the queues.
-		}
+		// Once closed, awaitDemand stops pacing and the batcher just
+		// drains the queues.
+		s.awaitDemand()
 		plan := s.nextPlan()
 		if plan == nil {
-			if s.plans != nil {
-				close(s.plans)
-			} else {
-				s.finishExec() // NoPipeline: this goroutine was the executor
-			}
+			close(s.plans)
 			return
 		}
 		s.prepare(plan)
-		if s.plans != nil {
-			s.plans <- plan
-		} else {
-			s.execute(plan)
-		}
+		s.plans <- plan
 	}
 }
 
-// awaitDemand blocks until the executor asks for the next plan; it
-// returns false once the server is closed (drain mode: form as fast as
-// the unbuffered plans channel allows).
-func (s *Server) awaitDemand() bool {
+// awaitDemand blocks until the executor asks for the next plan or the
+// server is closed (drain mode: form as fast as the unbuffered plans
+// channel allows).
+func (s *Server) awaitDemand() {
 	select {
 	case <-s.demand:
-		return true
 	case <-s.closedCh:
-		return false
 	}
 }
 
@@ -382,16 +293,10 @@ func (s *Server) executor() {
 		}
 		s.execute(plan)
 	}
-	s.finishExec()
-}
-
-// finishExec runs on the executing goroutine once the last epoch has
-// committed: it stops the completers and the snapshot publisher (whose
-// final publish then captures the fully drained state).
-func (s *Server) finishExec() {
-	if s.compCh != nil {
-		close(s.compCh)
-	}
+	// The last epoch has committed: stop the completers and the snapshot
+	// publisher (whose final publish then captures the fully drained
+	// state).
+	close(s.compCh)
 	if s.snapDirty != nil {
 		close(s.snapDirty)
 	}
@@ -441,7 +346,7 @@ func (s *Server) finishErr(c *call, err error) {
 // larger ones are chunked onto the completion workers so the executor
 // can move to the next epoch while futures resolve.
 func (s *Server) deliver(calls []*call) {
-	if s.compCh == nil || len(calls) <= inlineCompletion {
+	if len(calls) <= inlineCompletion {
 		for _, c := range calls {
 			s.finish(c)
 		}
@@ -483,9 +388,9 @@ func (s *Server) pendingLocked() (n int, oldest time.Time) {
 	return n, oldest
 }
 
-// fullLocked reports whether any queue already holds target keys —
+// fullLocked reports whether any queue already holds MaxBatch keys —
 // a full epoch's worth — which cuts the linger short.
-func (s *Server) fullLocked(target int) bool {
+func (s *Server) fullLocked() bool {
 	count := func(q []*call) int {
 		n := 0
 		for _, c := range q {
@@ -494,25 +399,15 @@ func (s *Server) fullLocked(target int) bool {
 		return n
 	}
 	for op := range s.readQ {
-		if count(s.readQ[op]) >= target {
+		if count(s.readQ[op]) >= s.opts.MaxBatch {
 			return true
 		}
 	}
-	return count(s.writeQ) >= target
+	return count(s.writeQ) >= s.opts.MaxBatch
 }
 
-// lingerPolicy returns the linger bound and the epoch-key target that
-// cuts it short: the static options, or the adaptive controller's
-// current plan.
-func (s *Server) lingerPolicy() (time.Duration, int) {
-	if s.ctl != nil {
-		return s.ctl.plan(time.Now())
-	}
-	return s.opts.MaxLinger, s.opts.MaxBatch
-}
-
-// nextPlan blocks until requests are pending (respecting the linger
-// policy), then forms the next epoch. It returns nil when the server is
+// nextPlan blocks until requests are pending (respecting MaxLinger),
+// then forms the next epoch. It returns nil when the server is
 // closed and fully drained.
 func (s *Server) nextPlan() *epochPlan {
 	for {
@@ -530,7 +425,7 @@ func (s *Server) nextPlan() *epochPlan {
 			}
 			continue
 		}
-		if linger, target := s.lingerPolicy(); linger > 0 && !s.closed && !s.fullLocked(target) {
+		if linger := s.opts.MaxLinger; linger > 0 && !s.closed && !s.fullLocked() {
 			wait := linger - time.Since(oldest)
 			if wait > 0 {
 				s.mu.Unlock()
@@ -617,7 +512,7 @@ func (s *Server) formWriteLocked() *epochPlan {
 // (singleflight): every request records, per key, the slot of its
 // unique representative.
 func (s *Server) formReadLocked() *epochPlan {
-	plan := &epochPlan{stamp: s.formedWrites}
+	plan := &epochPlan{}
 	var rec *EpochRecord
 	if s.opts.RecordHistory {
 		rec = &EpochRecord{}
@@ -650,9 +545,7 @@ func (s *Server) formReadLocked() *epochPlan {
 					si = len(rb.uniq)
 					slot[string(s.idBuf)] = si
 					rb.uniq = append(rb.uniq, k)
-					rb.dups = append(rb.dups, 0)
 				}
-				rb.dups[si]++
 				c.slots[j] = si
 			}
 			rb.calls = append(rb.calls, c)
@@ -669,9 +562,6 @@ func (s *Server) formReadLocked() *epochPlan {
 			admitted += len(c.keys)
 		}
 		s.stats.DedupedKeys += uint64(admitted - len(rb.uniq))
-		if s.ctl != nil {
-			s.ctl.noteDedupe(admitted, len(rb.uniq))
-		}
 		if s.met != nil {
 			s.met.deduped.Add(uint64(admitted - len(rb.uniq)))
 			s.met.epochKeys.Observe(float64(len(rb.uniq)))
@@ -766,12 +656,6 @@ func (s *Server) prepare(plan *epochPlan) {
 // futures instead of killing the scheduler.
 func (s *Server) execute(plan *epochPlan) {
 	defer s.sampleHealth()
-	if s.ctl != nil {
-		start := time.Now()
-		defer func() {
-			s.ctl.noteEpoch(planUniqueKeys(plan), time.Since(start))
-		}()
-	}
 	if s.met != nil {
 		start := time.Now()
 		s.met.stageBusy[stageExecute].Set(1)
@@ -858,19 +742,6 @@ func (s *Server) executeWrite(plan *epochPlan) {
 	s.deliver(plan.calls)
 }
 
-// planUniqueKeys is the number of unique keys an epoch sends to the
-// index — the K of the adaptive controller's service-time samples.
-func planUniqueKeys(plan *epochPlan) int {
-	if plan.write {
-		return len(plan.keys)
-	}
-	n := 0
-	for op := range plan.reads {
-		n += len(plan.reads[op].uniq)
-	}
-	return n
-}
-
 // slabKeys sums the requested key counts of a sub-batch's calls, so
 // result distribution can carve per-call views out of one allocation.
 func slabKeys(calls []*call) int {
@@ -884,7 +755,6 @@ func slabKeys(calls []*call) int {
 func (s *Server) executeRead(plan *epochPlan) {
 	if rb := &plan.reads[OpGet]; len(rb.uniq) > 0 {
 		vals, found := s.ix.GetPrepared(rb.prep)
-		s.fillCache(OpGet, rb, plan.stamp, vals, found, nil)
 		nslab := slabKeys(rb.calls)
 		vslab := make([]uint64, nslab)
 		fslab := make([]bool, nslab)
@@ -903,7 +773,6 @@ func (s *Server) executeRead(plan *epochPlan) {
 	}
 	if rb := &plan.reads[OpLCP]; len(rb.uniq) > 0 {
 		lcps := s.ix.LCPPrepared(rb.prep)
-		s.fillCache(OpLCP, rb, plan.stamp, nil, nil, lcps)
 		islab := make([]int, slabKeys(rb.calls))
 		for _, c := range rb.calls {
 			n := len(c.keys)
@@ -932,35 +801,14 @@ func (s *Server) executeRead(plan *epochPlan) {
 	}
 }
 
-// fillCache stores executed read results under the epoch's write stamp.
-// If a write epoch formed after this read epoch, the stamp is already
-// stale and the entries will simply never hit — correctness never
-// depends on the cache. Admission is skew-aware: once the cache is
-// full, only keys the epoch proved hot — requested more than once, so
-// the singleflight dedupe collapsed them — may displace an entry.
-// Without that rule every large epoch floods the cache with cold keys
-// and evicts the hot set it exists for.
-func (s *Server) fillCache(op Op, rb *readBatch, stamp uint64, vals []uint64, found []bool, lcps []int) {
-	if s.cache == nil {
-		return
+// appendKeyID appends k's canonical map identity — bit length plus
+// payload words (tail bits are always zeroed by bitstr) — to buf.
+// Callers reuse one scratch buffer under Server.mu; map lookups via
+// string(buf) do not allocate, only insertions intern the string.
+func appendKeyID(buf []byte, k Key) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(k.Len()))
+	for _, w := range k.RawWords() {
+		buf = binary.LittleEndian.AppendUint64(buf, w)
 	}
-	s.mu.Lock()
-	for i, k := range rb.uniq {
-		s.idBuf = appendKeyID(s.idBuf[:0], k)
-		if !s.cache.admit(op, s.idBuf, rb.dups[i] > 1) {
-			continue
-		}
-		s.stats.CacheAdmissions++
-		if s.met != nil {
-			s.met.cacheAdmits.Inc()
-		}
-		e := cacheVal{stamp: stamp}
-		if op == OpGet {
-			e.value, e.found = vals[i], found[i]
-		} else {
-			e.lcp = lcps[i]
-		}
-		s.cache.put(op, s.idBuf, e, s.formedWrites)
-	}
-	s.mu.Unlock()
+	return buf
 }

@@ -68,15 +68,15 @@ func replayHistory(t *testing.T, hist []*serve.EpochRecord, oracle *trie.Trie) {
 				for i, k := range op.Keys {
 					wv, wok := oracle.Get(k)
 					if op.Found[i] != wok || (wok && op.Vals[i] != wv) {
-						t.Fatalf("epoch %d (cached=%v): Get(%q) = %d,%v, serial replay says %d,%v",
-							ei, op.Cached, k, op.Vals[i], op.Found[i], wv, wok)
+						t.Fatalf("epoch %d: Get(%q) = %d,%v, serial replay says %d,%v",
+							ei, k, op.Vals[i], op.Found[i], wv, wok)
 					}
 				}
 			case serve.OpLCP:
 				for i, k := range op.Keys {
 					if want := oracle.LCPLen(k); op.LCPs[i] != want {
-						t.Fatalf("epoch %d (cached=%v): LCP(%q) = %d, serial replay says %d",
-							ei, op.Cached, k, op.LCPs[i], want)
+						t.Fatalf("epoch %d: LCP(%q) = %d, serial replay says %d",
+							ei, k, op.LCPs[i], want)
 					}
 				}
 			case serve.OpSubtree:
@@ -109,9 +109,7 @@ func TestServeSoak(t *testing.T) {
 		opts serve.Options
 	}{
 		{"pipelined", serve.Options{MaxBatch: 64, RecordHistory: true}},
-		{"linger+cache", serve.Options{MaxBatch: 64, MaxLinger: time.Millisecond, CacheSize: 256, RecordHistory: true}},
-		{"no-pipeline", serve.Options{MaxBatch: 32, NoPipeline: true, RecordHistory: true}},
-		{"adaptive", serve.Options{MaxBatch: 64, AdaptiveLinger: true, CacheSize: 128, RecordHistory: true}},
+		{"linger", serve.Options{MaxBatch: 64, MaxLinger: time.Millisecond, RecordHistory: true}},
 	}
 	for _, tc := range configs {
 		t.Run(tc.name, func(t *testing.T) {
@@ -218,43 +216,6 @@ func TestServeDedupe(t *testing.T) {
 	}
 	if st.ReadEpochs != 1 {
 		t.Fatalf("ReadEpochs = %d, want 1", st.ReadEpochs)
-	}
-}
-
-// TestServeCache exercises the hot-key cache: repeat reads hit, a write
-// epoch invalidates, and post-invalidation reads see the new value.
-func TestServeCache(t *testing.T) {
-	srv, _, pool := newServed(t, 4, 64, serve.Options{CacheSize: 16})
-	defer srv.Close()
-	hot := pool[0]
-	v0, found, err := srv.Get(hot)
-	if err != nil || !found {
-		t.Fatalf("Get = %d,%v,%v", v0, found, err)
-	}
-	for i := 0; i < 5; i++ {
-		v, _, err := srv.Get(hot)
-		if err != nil || v != v0 {
-			t.Fatalf("repeat Get = %d,%v, want %d", v, err, v0)
-		}
-	}
-	if st := srv.Stats(); st.CacheHits == 0 {
-		t.Fatalf("no cache hits on repeated hot-key Gets: %+v", st)
-	}
-	if err := srv.Insert(hot, 9999); err != nil {
-		t.Fatalf("Insert: %v", err)
-	}
-	v, found, err := srv.Get(hot)
-	if err != nil || !found || v != 9999 {
-		t.Fatalf("post-write Get = %d,%v,%v, want 9999 (stale cache served?)", v, found, err)
-	}
-	hits := srv.Stats().CacheHits
-	for i := 0; i < 3; i++ {
-		if v, _, _ := srv.Get(hot); v != 9999 {
-			t.Fatalf("refilled Get = %d, want 9999", v)
-		}
-	}
-	if st := srv.Stats(); st.CacheHits == hits {
-		t.Fatalf("cache did not refill after invalidation: %+v", st)
 	}
 }
 

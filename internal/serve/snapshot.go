@@ -112,8 +112,13 @@ func keyHash(k Key) uint64 {
 // executor's dirty signal after each committed write epoch and installs
 // a fresh (flat, stamp) pair. Index.Snapshot is memoized per shadow
 // version and safe concurrently with executing batches (core COW
-// snapshots, PR 9), so republication costs one flatten per version at
-// most and never blocks the pipeline.
+// snapshots), so republication costs at most one flatten per version.
+// That flatten is not free for the pipeline: it walks the whole shadow
+// trie under shadowMu.RLock, and the next write batch's shadow update
+// takes shadowMu.Lock for the whole batch, so a write epoch that
+// reaches its shadow phase mid-flatten stalls until the flatten ends —
+// measured at 6.7 ms per flatten at 20k keys and 112 ms at 200k (2-CPU
+// host). Read epochs never touch shadowMu and are unaffected.
 func (s *Server) publisher() {
 	defer s.wg.Done()
 	for range s.snapDirty {

@@ -104,7 +104,9 @@ type Config struct {
 	Index pimtrie.Options
 	// Serve configures every shard's server. PrefixLoadBits is forced
 	// to RouteBits (the migration policy needs slot-granular load) and
-	// MetricLabels to shard="i".
+	// MetricLabels to shard="i". Durable must be nil: one serve.Durable
+	// copied into every shard would have N executors appending to one
+	// log, and recovery would replay every shard into one index.
 	Serve serve.Options
 	// Metrics, when non-nil, registers router instruments and per-shard
 	// serving instruments (labelled shard="i") in the given registry.
@@ -188,6 +190,9 @@ func New(cfg Config) *Router {
 	}
 	if cfg.RouteBits < 1 || cfg.RouteBits > 14 {
 		panic(fmt.Sprintf("shard: RouteBits %d outside [1, 14]", cfg.RouteBits))
+	}
+	if cfg.Serve.Durable != nil {
+		panic("shard: Serve.Durable is not supported (shards would share one write-ahead log)")
 	}
 	if cfg.Modules <= 0 {
 		cfg.Modules = 32

@@ -8,11 +8,14 @@ package shard_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/pimlab/pimtrie"
 	"github.com/pimlab/pimtrie/internal/bitstr"
+	"github.com/pimlab/pimtrie/internal/serve"
 	"github.com/pimlab/pimtrie/internal/shard"
+	"github.com/pimlab/pimtrie/internal/wal"
 	"github.com/pimlab/pimtrie/internal/workload"
 )
 
@@ -256,6 +259,34 @@ func TestRouterClosed(t *testing.T) {
 	if _, err := r.MigrateSlot(0, 1); err == nil {
 		t.Fatal("MigrateSlot after Close succeeded")
 	}
+}
+
+// TestRouterRejectsDurable: a durable Serve config would have every
+// shard's executor append to the same write-ahead log, so New refuses
+// it with a panic, like its other invalid configurations.
+// The log and index are valid for a single serve.Server, so only the
+// router's own check can reject the config.
+func TestRouterRejectsDurable(t *testing.T) {
+	log, err := wal.Open(wal.Options{Dir: t.TempDir(), Policy: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("New accepted a shared Serve.Durable")
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, "shard: Serve.Durable") {
+			t.Fatalf("panic %q is not the router's Durable check", msg)
+		}
+	}()
+	r := shard.New(shard.Config{
+		Shards: 2, RouteBits: 3, Modules: 4,
+		Index: pimtrie.Options{Seed: 1, Recoverable: true},
+		Serve: serve.Options{Durable: &serve.Durable{Log: log}},
+	})
+	r.Close()
 }
 
 func TestPartitionersCoverSlots(t *testing.T) {
